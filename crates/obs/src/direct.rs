@@ -1,7 +1,7 @@
 //! The direct recording backend: per-record mutation of an in-memory
 //! [`Trace`], strings owned eagerly.
 //!
-//! This is the original recorder implementation, kept verbatim as the
+//! This is the original recorder implementation, kept as the
 //! *reference semantics* for the batched backend ([`crate::ring`]): the
 //! replay-equivalence suite drives identical scenarios through both and
 //! asserts byte-identical canonical JSON. It is also what
@@ -12,6 +12,7 @@ use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord};
 use crate::metrics::{Histogram, MetricKey};
 use crate::span::{SpanId, SpanRecord};
 use crate::trace::{EventRecord, Trace};
+use crate::{unread, TraceCursor};
 
 /// Direct-mutation recorder state: a live [`Trace`] plus the sequence
 /// counter and open-span stack.
@@ -183,8 +184,18 @@ impl DirectRecorder {
             .map(|e| serde_json::to_string(e).expect("event serialization is infallible"))
     }
 
-    pub(crate) fn snapshot(&self) -> Trace {
-        self.trace.clone()
+    /// Clones only the records past `cursor` (clamped to each vector's
+    /// length) plus the full metric registry. A default cursor yields the
+    /// full snapshot.
+    pub(crate) fn snapshot_since(&self, cursor: &TraceCursor) -> Trace {
+        let t = &self.trace;
+        Trace {
+            spans: unread(&t.spans, cursor.spans).to_vec(),
+            events: unread(&t.events, cursor.events).to_vec(),
+            decisions: unread(&t.decisions, cursor.decisions).to_vec(),
+            deployments: unread(&t.deployments, cursor.deployments).to_vec(),
+            metrics: t.metrics.clone(),
+        }
     }
 
     pub(crate) fn export_stream(&self, chunk_size: usize, sink: &mut dyn FnMut(&str)) {

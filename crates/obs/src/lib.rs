@@ -121,6 +121,12 @@ pub struct TraceCursor {
     deployments: usize,
 }
 
+/// The records of `records` a cursor at `consumed` has not read yet; a
+/// cursor past the end (e.g. one taken from a longer recording) reads none.
+fn unread<T>(records: &[T], consumed: usize) -> &[T] {
+    &records[consumed.min(records.len())..]
+}
+
 impl Recorder {
     fn span_enter(&mut self, component: &str, name: &str, sim_time: f64) -> SpanId {
         match self {
@@ -253,10 +259,12 @@ impl Recorder {
         }
     }
 
-    fn snapshot(&mut self) -> Trace {
+    /// The records past `cursor` plus the full metric registry; a default
+    /// cursor yields the full snapshot.
+    fn snapshot_since(&mut self, cursor: &TraceCursor) -> Trace {
         match self {
-            Recorder::Direct(d) => d.snapshot(),
-            Recorder::Batched(b) => b.snapshot(),
+            Recorder::Direct(d) => d.snapshot_since(cursor),
+            Recorder::Batched(b) => b.snapshot_since(cursor),
         }
     }
 
@@ -564,10 +572,7 @@ impl Obs {
 
     /// An immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> Trace {
-        let Some(inner) = &self.inner else {
-            return Trace::default();
-        };
-        inner.lock().snapshot()
+        self.snapshot_since(&mut TraceCursor::default())
     }
 
     /// Incremental snapshot: everything recorded since `cursor` last saw
@@ -576,24 +581,24 @@ impl Obs {
     /// `metrics` is always the full cumulative registry — counters and
     /// histograms are running totals, not deltas.
     ///
+    /// Cost is O(new records + metric identities): only the records past
+    /// the cursor are resolved or cloned, under one lock acquisition, and
+    /// the already-consumed prefix is never materialized — so a health
+    /// loop polling a long-running recording pays for what is new, not for
+    /// the history. A cursor past the end of this recording (e.g. one taken
+    /// from a longer one) reads nothing and does not move; a disabled
+    /// handle returns the empty trace and leaves the cursor unchanged.
+    ///
     /// Spans are included in the delta when they are *entered*; a span
     /// still open at the cut keeps `end == start` in that delta and is not
     /// re-reported when it later closes. Online consumers doing latency
     /// analysis (watchtower's SLO engine) should therefore take their cuts
     /// after the spans they care about have exited.
     pub fn snapshot_since(&self, cursor: &mut TraceCursor) -> Trace {
-        let mut full = self.snapshot();
-        let delta = Trace {
-            spans: full.spans.split_off(cursor.spans.min(full.spans.len())),
-            events: full.events.split_off(cursor.events.min(full.events.len())),
-            decisions: full
-                .decisions
-                .split_off(cursor.decisions.min(full.decisions.len())),
-            deployments: full
-                .deployments
-                .split_off(cursor.deployments.min(full.deployments.len())),
-            metrics: full.metrics,
+        let Some(inner) = &self.inner else {
+            return Trace::default();
         };
+        let delta = inner.lock().snapshot_since(cursor);
         cursor.spans += delta.spans.len();
         cursor.events += delta.events.len();
         cursor.decisions += delta.decisions.len();
@@ -1435,5 +1440,69 @@ mod tests {
         let mut fresh = TraceCursor::default();
         let all = obs.snapshot_since(&mut fresh);
         assert_eq!(serde_json::to_string(&all), serde_json::to_string(&full));
+    }
+
+    #[test]
+    fn snapshot_since_on_disabled_handle_is_empty_and_keeps_cursor() {
+        let live = Obs::recording();
+        live.event("c", "e", 0.0, &[]);
+        let mut cursor = TraceCursor::default();
+        live.snapshot_since(&mut cursor);
+        let before = cursor;
+        let delta = Obs::disabled().snapshot_since(&mut cursor);
+        assert_eq!(delta, Trace::default());
+        assert_eq!(cursor, before);
+    }
+
+    #[test]
+    fn cursor_past_the_end_reads_nothing_and_does_not_move() {
+        for (long, short) in [
+            (Obs::recording(), Obs::recording()),
+            (Obs::recording_direct(), Obs::recording_direct()),
+        ] {
+            for obs in [&long, &short] {
+                let s = obs.span_enter("c", "s", 0.0);
+                obs.event("c", "e", 0.1, &[("k", "v")]);
+                obs.record_deployment("c", DeploymentKind::Publish, "m", 1, "manual", 0.2);
+                obs.span_exit(s, 1.0);
+            }
+            for i in 0..4 {
+                let s = long.span_enter("c", "more", f64::from(i));
+                long.event("c", "e", f64::from(i), &[]);
+                long.span_exit(s, f64::from(i) + 0.5);
+            }
+            let mut cursor = TraceCursor::default();
+            long.snapshot_since(&mut cursor);
+            let before = cursor;
+            short.counter_add("c", "n", &[], 7);
+            let delta = short.snapshot_since(&mut cursor);
+            assert!(delta.spans.is_empty() && delta.events.is_empty());
+            assert!(delta.decisions.is_empty());
+            // Deployment counts match, so the cursor sits exactly at the end.
+            assert!(delta.deployments.is_empty());
+            assert_eq!(delta.metrics.counter("c", "n", &[]), 7);
+            assert_eq!(cursor, before, "a cursor past the end must not move");
+        }
+    }
+
+    #[test]
+    fn repeated_snapshot_since_without_records_returns_identical_metrics() {
+        for obs in [Obs::recording(), Obs::recording_direct()] {
+            obs.counter_add("c", "n", &[("k", "v")], 3);
+            obs.gauge_set("c", "g", &[], 1.5);
+            obs.histogram_observe("c", "h", &[], 0.25);
+            obs.event("c", "e", 0.0, &[]);
+            let mut cursor = TraceCursor::default();
+            let first = obs.snapshot_since(&mut cursor);
+            let second = obs.snapshot_since(&mut cursor);
+            assert_eq!(first.events.len(), 1);
+            assert_eq!(
+                second,
+                Trace {
+                    metrics: first.metrics.clone(),
+                    ..Trace::default()
+                }
+            );
+        }
     }
 }

@@ -32,6 +32,7 @@ use crate::metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
 use crate::sample::SampleConfig;
 use crate::span::{SpanId, SpanRecord};
 use crate::trace::{EventRecord, Trace};
+use crate::{unread, TraceCursor};
 use std::collections::HashMap;
 
 /// Default staging-ring capacity (records between forced flushes).
@@ -862,30 +863,27 @@ impl BatchedRecorder {
         }
     }
 
-    pub(crate) fn snapshot(&mut self) -> Trace {
+    /// Resolves only the records past `cursor` (clamped to each vector's
+    /// length) plus the full metric registry — the prefix is never touched,
+    /// so the cost is O(new records + metric identities). A default cursor
+    /// yields the full snapshot.
+    pub(crate) fn snapshot_since(&mut self, cursor: &TraceCursor) -> Trace {
         self.flush();
+        let store = &self.store;
         Trace {
-            spans: self
-                .store
-                .spans
+            spans: unread(&store.spans, cursor.spans)
                 .iter()
                 .map(|s| self.resolve_span(s))
                 .collect(),
-            events: self
-                .store
-                .events
+            events: unread(&store.events, cursor.events)
                 .iter()
                 .map(|e| self.resolve_event(e))
                 .collect(),
-            decisions: self
-                .store
-                .decisions
+            decisions: unread(&store.decisions, cursor.decisions)
                 .iter()
                 .map(|d| self.resolve_decision(d))
                 .collect(),
-            deployments: self
-                .store
-                .deployments
+            deployments: unread(&store.deployments, cursor.deployments)
                 .iter()
                 .map(|d| self.resolve_deployment(d))
                 .collect(),

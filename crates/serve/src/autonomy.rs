@@ -393,7 +393,7 @@ impl AutonomyController {
         if !self.supervised.contains_key(&handle.index()) {
             return Ok(actions);
         }
-        let candidate = self.gateway.candidate_status(handle)?;
+        let mut candidate = self.gateway.candidate_status(handle)?;
         let primary_version = self.gateway.current_version(handle)?.unwrap_or(0);
         let deployment_error = self
             .gateway
@@ -440,6 +440,8 @@ impl AutonomyController {
             self.record_loop_decision(handle, prediction, Some(actual), cause, true, sim_time)?;
             if candidate.is_some() {
                 let version = self.gateway.demote_candidate(handle, cause, sim_time)?;
+                // The candidate is gone: nothing below may evaluate it.
+                candidate = None;
                 let state = self.state_mut(handle);
                 state.schedule_demote_backoff(sim_time);
                 state.retrain_pending = Some(cause.to_string());
@@ -1145,5 +1147,69 @@ mod tests {
             .find(|d| d.kind == DeploymentKind::Rollback)
             .expect("typed rollback record");
         assert_eq!(rb.cause, "guard_trip_streak");
+    }
+
+    #[test]
+    fn guard_trip_demotion_with_full_candidate_window_is_not_an_error() {
+        let obs = Obs::recording();
+        let mut config = GatewayConfig::standard();
+        config.cache_capacity = 0;
+        config.breaker.guard_factor = 1.5;
+        let gateway = Gateway::with_obs(config, obs.clone());
+        let handle = gateway.register("m", |f: &[f64]| f[0]);
+        let mut ctl = AutonomyController::new(gateway, obs);
+        let loop_config = loop_config();
+        let (streak, window) = (
+            loop_config.guarded_streak as u64,
+            loop_config.canary.min_decisions as u64,
+        );
+        ctl.supervise(handle, loop_config, scalar_retrainer());
+        ctl.install(handle, Arc::new(FnModel(|f: &[f64]| f[0])), 0.05, 0.0)
+            .unwrap();
+        let candidate = ctl
+            .gateway()
+            .stage_candidate(
+                handle,
+                Arc::new(FnModel(|f: &[f64]| f[0])),
+                0.05,
+                DeployPhase::Shadow,
+                0,
+                "manual",
+                1.0,
+            )
+            .unwrap();
+        // Healthy observations fill the shadow window up to the point where
+        // the guard-trip streak's last observation also completes it.
+        let mut t = 2.0;
+        for _ in 0..window - streak {
+            let p = ctl.gateway().predict(handle, &[3.0], t).unwrap();
+            assert!(ctl.observe(handle, &[3.0], &p, 3.0, t).unwrap().is_empty());
+            t += 1.0;
+        }
+        // Poison only the primary: every request guard-trips, while the
+        // shadow mirror keeps pairing answers into the candidate window.
+        ctl.gateway()
+            .inject_faults(handle, ModelFaults::new(7, 0.0, 0.0, 4.0))
+            .unwrap();
+        ctl.gateway()
+            .set_poison_scope(handle, PoisonScope::Version(1))
+            .unwrap();
+        let mut acts = Vec::new();
+        for _ in 0..streak {
+            let p = ctl.gateway().predict(handle, &[3.0], t).unwrap();
+            assert_eq!(p.source, Source::Fallback(FallbackCause::Guarded));
+            acts = ctl
+                .observe(handle, &[3.0], &p, 3.0, t)
+                .expect("a demotion must not leave a stale candidate to evaluate");
+            t += 1.0;
+        }
+        assert!(
+            acts.contains(&AutonomyAction::Demoted {
+                version: candidate,
+                cause: "guard_trip_streak".to_string(),
+            }),
+            "guard streak must demote the staged candidate: {acts:?}"
+        );
+        assert_eq!(ctl.gateway().candidate_status(handle).unwrap(), None);
     }
 }

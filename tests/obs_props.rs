@@ -1,8 +1,12 @@
 //! Property tests for the recording hot path's two load-bearing tricks:
 //! string interning (invisible in exports) and deterministic sampling (a
-//! strict, replayable filter).
+//! strict, replayable filter) — plus incremental snapshots, which must
+//! read exactly what a full snapshot at the same cut would add.
 
-use autonomous_data_services::obs::{sample_keeps, Interner, Obs, SampleConfig};
+use autonomous_data_services::obs::{
+    sample_keeps, DeploymentKind, Interner, Obs, Provenance, SampleConfig, SpanId, Trace,
+    TraceCursor,
+};
 use proptest::prelude::*;
 
 /// Maps a small integer to a short identifier-ish string, including empties
@@ -22,8 +26,135 @@ fn ident(n: u32) -> String {
     }
 }
 
+const DEPLOYMENT_KINDS: [DeploymentKind; 6] = [
+    DeploymentKind::Publish,
+    DeploymentKind::Rollback,
+    DeploymentKind::ShadowStart,
+    DeploymentKind::CanaryStart,
+    DeploymentKind::Promote,
+    DeploymentKind::Demote,
+];
+
+/// Plays `ops` (`(kind, param)` pairs) into `obs`: span enter/exit with
+/// spans left open across cuts, events with fields, decisions,
+/// deployments, metric updates, and cuts. At every cut (and once at the
+/// end) it takes a full snapshot and an incremental one back to back, and
+/// checks the delta against the full snapshot's records past the previous
+/// cut and its metrics. Returns the deltas and the final full snapshot.
+fn cut_and_compare(obs: &Obs, ops: &[(u8, u32)]) -> Result<(Vec<Trace>, Trace), TestCaseError> {
+    let mut cursor = TraceCursor::default();
+    let mut open: Vec<SpanId> = Vec::new();
+    let mut deltas = Vec::new();
+    let mut seen = Trace::default();
+    // Every op at its own sim time, then one final cut (kind 8).
+    let steps = ops
+        .iter()
+        .enumerate()
+        .map(|(i, &(kind, param))| (i as f64 * 0.5, kind, param))
+        .chain(std::iter::once((ops.len() as f64 * 0.5, 8, 0)));
+    for (t, kind, param) in steps {
+        let name = ident(param);
+        match kind {
+            0 => open.push(obs.span_enter("props", &name, t)),
+            1 => {
+                if let Some(id) = open.pop() {
+                    obs.span_exit(id, t);
+                }
+            }
+            2 => {
+                let fields: Vec<(String, String)> = (0..param % 3)
+                    .map(|k| (ident(param + k), ident(param / 3 + k)))
+                    .collect();
+                let fields: Vec<(&str, &str)> = fields
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                obs.event("props", &name, t, &fields);
+            }
+            3 => obs.record_decision(
+                "props",
+                "decide",
+                &Provenance::new(&name, u64::from(param % 4), u64::from(param)),
+                f64::from(param),
+                (param % 2 == 0).then_some(f64::from(param) * 0.5),
+                if param % 3 == 0 { "veto" } else { "allow" },
+                param % 3 == 0,
+                u64::from(param % 7),
+                t,
+            ),
+            4 => obs.record_deployment(
+                "props",
+                DEPLOYMENT_KINDS[param as usize % DEPLOYMENT_KINDS.len()],
+                &name,
+                u64::from(param % 5),
+                "cause",
+                t,
+            ),
+            5 => obs.counter_add("props", "n", &[("k", &name)], u64::from(param % 9)),
+            6 => obs.gauge_set("props", &name, &[], f64::from(param)),
+            7 => obs.histogram_observe("props", "h", &[("k", &name)], f64::from(param) * 0.01),
+            _ => {
+                let full = obs.snapshot();
+                let delta = obs.snapshot_since(&mut cursor);
+                prop_assert_eq!(&delta.spans[..], &full.spans[seen.spans.len()..]);
+                prop_assert_eq!(&delta.events[..], &full.events[seen.events.len()..]);
+                prop_assert_eq!(
+                    &delta.decisions[..],
+                    &full.decisions[seen.decisions.len()..]
+                );
+                prop_assert_eq!(
+                    &delta.deployments[..],
+                    &full.deployments[seen.deployments.len()..]
+                );
+                prop_assert_eq!(&delta.metrics, &full.metrics);
+                deltas.push(delta);
+                seen = full;
+            }
+        }
+    }
+    Ok((deltas, seen))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every incremental snapshot equals the slice past the pre-cut cursor
+    /// of a full snapshot taken at the same moment (with the full
+    /// cumulative metrics), on every backend and sampling configuration;
+    /// and the deltas partition the final snapshot — spans compared by
+    /// id/seq/start, since a span open at a cut is reported before it
+    /// closes.
+    #[test]
+    fn incremental_snapshots_partition_the_full_snapshot(
+        ops in proptest::collection::vec((0u8..9, 0u32..1000), 1..160),
+        seed in 0u64..u64::MAX,
+        capacity in 1usize..16,
+    ) {
+        for obs in [
+            Obs::recording(),
+            Obs::recording_with_ring(1),
+            Obs::recording_with_ring(7),
+            Obs::recording_with_ring(capacity),
+            Obs::recording_sampled(seed, 0.5),
+            Obs::recording_direct(),
+        ] {
+            let (deltas, full) = cut_and_compare(&obs, &ops)?;
+            let span_keys = |t: &Trace| -> Vec<(SpanId, u64, u64)> {
+                t.spans.iter().map(|s| (s.id, s.seq, s.start.to_bits())).collect()
+            };
+            prop_assert_eq!(
+                deltas.iter().flat_map(span_keys).collect::<Vec<_>>(),
+                span_keys(&full)
+            );
+            let events: Vec<_> = deltas.iter().flat_map(|d| d.events.clone()).collect();
+            prop_assert_eq!(events, full.events.clone());
+            let decisions: Vec<_> = deltas.iter().flat_map(|d| d.decisions.clone()).collect();
+            prop_assert_eq!(decisions, full.decisions.clone());
+            let deployments: Vec<_> = deltas.iter().flat_map(|d| d.deployments.clone()).collect();
+            prop_assert_eq!(deployments, full.deployments.clone());
+            prop_assert_eq!(&deltas.last().expect("final cut").metrics, &full.metrics);
+        }
+    }
 
     /// intern → resolve is the identity, equal strings share an id, and
     /// distinct strings never collide — regardless of insertion order.

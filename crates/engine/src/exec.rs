@@ -48,9 +48,14 @@ impl ClusterConfig {
                 "machines and slots_per_machine must be >= 1".into(),
             ));
         }
-        if self.work_per_second <= 0.0 {
+        if self.work_per_second.is_nan() || self.work_per_second <= 0.0 {
             return Err(EngineError::InvalidCluster(
                 "work_per_second must be > 0".into(),
+            ));
+        }
+        if !(self.task_overhead.is_finite() && self.task_overhead >= 0.0) {
+            return Err(EngineError::InvalidCluster(
+                "task_overhead must be finite and >= 0".into(),
             ));
         }
         Ok(())
@@ -155,13 +160,9 @@ impl Simulator {
     /// stage. Stages fully shielded by precomputed outputs are skipped —
     /// this is what makes checkpoint-based recovery cheaper than a full
     /// re-run.
-    fn required_stages(dag: &StageDag, options: &SimOptions) -> Vec<bool> {
-        Self::required_stages_with(dag, options, &dag.consumers())
-    }
-
-    /// [`Simulator::required_stages`] with the consumer lists precomputed,
-    /// so the kernel path computes `dag.consumers()` exactly once per run.
-    fn required_stages_with(
+    /// Takes the run's consumer lists, so each schedule computes
+    /// `dag.consumers()` exactly once.
+    fn required_stages(
         dag: &StageDag,
         options: &SimOptions,
         consumers: &[Vec<StageId>],
@@ -246,16 +247,16 @@ impl Simulator {
     /// The schedule is produced by a [`ClusterSim`] component on the
     /// `simkern` discrete-event kernel: stage-task completions are events,
     /// the kernel clock is the only notion of time, and earliest-free-slot
-    /// selection is a heap pop instead of the old O(total_slots) scan. The
-    /// result is pinned byte-identical to [`Simulator::schedule_legacy`]
-    /// by `tests/simkern_equivalence.rs`.
+    /// selection is an in-place heap-root rewrite instead of the old
+    /// O(total_slots) scan. The result is pinned byte-identical to
+    /// [`Simulator::schedule_legacy`] by `tests/simkern_equivalence.rs`.
     fn schedule(
         &self,
         dag: &StageDag,
         options: &SimOptions,
     ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
         let consumers = dag.consumers();
-        let required = Self::required_stages_with(dag, options, &consumers);
+        let required = Self::required_stages(dag, options, &consumers);
         let cluster = ClusterSim::new(&self.config, dag, required, &consumers);
         let mut sim = Simulation::new(0);
         let cluster = Rc::new(RefCell::new(cluster));
@@ -270,8 +271,14 @@ impl Simulator {
         );
         let (stage_start, stage_finish, stage_machines, total_cpu, required) = cluster.take();
         let latency = stage_finish.iter().copied().fold(0.0, f64::max);
-        let machine_temp_peak =
-            self.temp_peaks(dag, options, &stage_finish, &stage_machines, latency);
+        let machine_temp_peak = self.temp_peaks(
+            dag,
+            options,
+            &consumers,
+            &stage_finish,
+            &stage_machines,
+            latency,
+        );
         Ok((
             ExecReport {
                 latency,
@@ -296,7 +303,8 @@ impl Simulator {
         options: &SimOptions,
     ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
         let n = dag.len();
-        let required = Self::required_stages(dag, options);
+        let consumers = dag.consumers();
+        let required = Self::required_stages(dag, options, &consumers);
         let total_slots = self.config.machines * self.config.slots_per_machine;
         // slot_free[i]: next free time of slot i; slot i lives on machine i / slots_per_machine.
         let mut slot_free = vec![0.0f64; total_slots];
@@ -342,8 +350,14 @@ impl Simulator {
         }
 
         let latency = stage_finish.iter().copied().fold(0.0, f64::max);
-        let machine_temp_peak =
-            self.temp_peaks(dag, options, &stage_finish, &stage_machines, latency);
+        let machine_temp_peak = self.temp_peaks(
+            dag,
+            options,
+            &consumers,
+            &stage_finish,
+            &stage_machines,
+            latency,
+        );
         Ok((
             ExecReport {
                 latency,
@@ -434,19 +448,40 @@ impl Simulator {
         Ok((original, recovery))
     }
 
-    /// Computes per-machine peak temp storage from alloc/free events.
+    /// Computes per-machine peak temp storage with a stage-level sweep.
+    ///
+    /// Every task of a stage writes `output_bytes / tasks` to its machine
+    /// when the stage finishes and frees it at the latest of its consumers'
+    /// finishes and the job latency. All tasks of a stage share that time and that delta, so the sweep
+    /// sorts two keys per stage — `(finish, +per_machine)` and
+    /// `(free, -per_machine)` — instead of two events per task, by time
+    /// ascending and then delta descending (allocs before frees at equal
+    /// times, for a conservative peak). Each key applies its delta once per
+    /// entry of the stage's placement, in placement order, updating the
+    /// peak after every add.
+    ///
+    /// This replays exactly the float-add sequence of a stable per-task
+    /// event sort under the same comparator. Within one `(time, delta)` tie
+    /// class the stable sort keeps insertion order, which is stage order
+    /// and then task order in both forms. The one case where a stage's
+    /// alloc and free land in the same class is a zero delta, and a zero
+    /// add never changes a running total that starts at `+0.0`. The tie
+    /// classes are well defined because a [`StageDag`] holds only finite,
+    /// non-negative work and output sizes and [`ClusterConfig`] only finite
+    /// task overheads, so no time or delta is NaN.
+    ///
+    /// Cost: O(stages · log stages + tasks).
     fn temp_peaks(
         &self,
         dag: &StageDag,
         options: &SimOptions,
+        consumers: &[Vec<StageId>],
         stage_finish: &[f64],
         stage_machines: &[Vec<usize>],
         latency: f64,
     ) -> Vec<f64> {
-        let consumers = dag.consumers();
-        // (time, machine, delta); allocs sorted before frees at equal times
-        // via the sign of delta (positive first) for a conservative peak.
-        let mut events: Vec<(f64, usize, f64)> = Vec::new();
+        // (time, delta, stage)
+        let mut keys: Vec<(f64, f64, usize)> = Vec::with_capacity(2 * dag.len());
         for stage in dag.stages() {
             let idx = stage.id.0;
             if options.checkpointed.contains(&stage.id) || options.precomputed.contains(&stage.id) {
@@ -461,21 +496,21 @@ impl Simulator {
                 .iter()
                 .map(|c| stage_finish[c.0])
                 .fold(latency, f64::max);
-            for &m in machines {
-                events.push((stage_finish[idx], m, per_machine));
-                events.push((free_time, m, -per_machine));
-            }
+            keys.push((stage_finish[idx], per_machine, idx));
+            keys.push((free_time, -per_machine, idx));
         }
-        events.sort_by(|a, b| {
+        keys.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
+                .then(b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal))
         });
         let mut current = vec![0.0f64; self.config.machines];
         let mut peak = vec![0.0f64; self.config.machines];
-        for (_, m, delta) in events {
-            current[m] += delta;
-            peak[m] = peak[m].max(current[m]);
+        for (_, delta, idx) in keys {
+            for &m in &stage_machines[idx] {
+                current[m] += delta;
+                peak[m] = peak[m].max(current[m]);
+            }
         }
         peak
     }
@@ -602,9 +637,9 @@ impl SimStages {
 /// the legacy loop. What changed is the *mechanism*: stage completions
 /// are kernel events (the clock advances through the schedule rather
 /// than a blocking loop "owning" time), and the earliest-free slot is a
-/// `BinaryHeap<Reverse<(OrderedTick, slot)>>` pop with an explicit index
-/// tie-break instead of an O(total_slots) `min_by` scan that silently
-/// tolerated NaN free-times.
+/// `BinaryHeap<Reverse<(OrderedTick, slot)>>` root, rewritten in place per
+/// task, with an explicit index tie-break instead of an O(total_slots)
+/// `min_by` scan that silently tolerated NaN free-times.
 ///
 /// One wrinkle: list scheduling can queue a stage's tasks on slots that
 /// free *before* the current clock (the cursor held it back behind an
@@ -712,6 +747,14 @@ impl ClusterSim {
 
     /// Places one required stage's tasks on the slot heap and schedules
     /// its completion event.
+    ///
+    /// Each task takes the earliest-free slot and rewrites that heap root
+    /// in place through [`BinaryHeap::peek_mut`]: one sift-down per task
+    /// instead of a pop plus a push. `(OrderedTick, slot)` is a total order
+    /// and slot indices are unique, so the minimum is unique and the chosen
+    /// slot sequence does not depend on how the heap is laid out. A stage
+    /// with more tasks than slots reuses a slot within the stage, exactly
+    /// as the legacy scan does.
     fn place(&mut self, idx: usize, ctx: &mut Ctx<'_, ClusterEvent>) {
         let ready = self
             .stages
@@ -724,13 +767,16 @@ impl ClusterSim {
         let task_duration = task_work / self.work_per_second + self.task_overhead;
         let mut finish = ready;
         let mut start = f64::INFINITY;
+        self.stage_machines[idx].reserve_exact(tasks);
         for _ in 0..tasks {
-            let Reverse((free, slot)) = self.slot_free.pop().expect("at least one slot");
+            let mut earliest = self.slot_free.peek_mut().expect("at least one slot");
+            let Reverse((free, slot)) = *earliest;
             debug_assert!(free.get().is_finite(), "slot free-time must be finite");
             let task_start = free.get().max(ready);
             let task_finish = task_start + task_duration;
-            self.slot_free
-                .push(Reverse((OrderedTick::new(task_finish), slot)));
+            // Rewrite the root in place: one sift-down when the guard drops.
+            *earliest = Reverse((OrderedTick::new(task_finish), slot));
+            drop(earliest);
             self.total_cpu += task_duration;
             finish = finish.max(task_finish);
             start = start.min(task_start);
@@ -960,11 +1006,20 @@ mod tests {
             ..Default::default()
         })
         .is_err());
-        assert!(Simulator::new(ClusterConfig {
-            work_per_second: 0.0,
-            ..Default::default()
-        })
-        .is_err());
+        for work_per_second in [0.0, f64::NAN] {
+            assert!(Simulator::new(ClusterConfig {
+                work_per_second,
+                ..Default::default()
+            })
+            .is_err());
+        }
+        for task_overhead in [-0.5, f64::NAN, f64::INFINITY] {
+            assert!(Simulator::new(ClusterConfig {
+                task_overhead,
+                ..Default::default()
+            })
+            .is_err());
+        }
     }
 
     #[test]

@@ -112,14 +112,27 @@ impl StageDag {
             &est_cost.per_node,
             &mut stages,
         );
-        Ok(Self { stages })
+        Self::from_stages(stages)
     }
 
     /// Builds a DAG directly from stages (used by tests and the checkpoint
-    /// crate's synthetic workloads). Validates topological order and edge
-    /// sanity.
+    /// crate's synthetic workloads). Validates topological order, edge
+    /// sanity, and the numbers the execution simulator schedules with:
+    /// every stage needs finite, non-negative `work` and `output_bytes` and
+    /// at least one task. A NaN here would otherwise reach the simulator's
+    /// slot heap and temp sweep as a NaN time.
     pub fn from_stages(stages: Vec<Stage>) -> Result<Self> {
         for (i, stage) in stages.iter().enumerate() {
+            for (field, value) in [("work", stage.work), ("output_bytes", stage.output_bytes)] {
+                if !(value.is_finite() && value >= 0.0) {
+                    return Err(EngineError::MalformedDag(format!(
+                        "stage {i} has {field} {value}; it must be finite and >= 0"
+                    )));
+                }
+            }
+            if stage.tasks == 0 {
+                return Err(EngineError::MalformedDag(format!("stage {i} has 0 tasks")));
+            }
             if stage.id.0 != i {
                 return Err(EngineError::MalformedDag(format!(
                     "stage at index {i} has id {}",
@@ -281,9 +294,31 @@ mod tests {
         bad_id[1].id = StageId(5);
         assert!(StageDag::from_stages(bad_id).is_err());
 
-        let mut forward_edge = good;
+        let mut forward_edge = good.clone();
         forward_edge[0].inputs = vec![StageId(1)];
         assert!(StageDag::from_stages(forward_edge).is_err());
+
+        let malformed = |edit: &dyn Fn(&mut Stage)| {
+            let mut stages = good.clone();
+            edit(&mut stages[1]);
+            matches!(
+                StageDag::from_stages(stages),
+                Err(EngineError::MalformedDag(_))
+            )
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            assert!(malformed(&|s| s.work = bad), "work {bad} accepted");
+            assert!(
+                malformed(&|s| s.output_bytes = bad),
+                "output_bytes {bad} accepted"
+            );
+        }
+        assert!(malformed(&|s| s.tasks = 0), "zero tasks accepted");
+        // Zero work and zero output are legal (an empty stage).
+        assert!(!malformed(&|s| {
+            s.work = 0.0;
+            s.output_bytes = 0.0;
+        }));
     }
 
     #[test]

@@ -27,6 +27,13 @@ pub enum ErrorKind {
         /// What the grammar allowed here.
         expected: String,
     },
+    /// The query nests deeper than the parser's limit
+    /// ([`MAX_QUERY_DEPTH`](crate::parser::MAX_QUERY_DEPTH)); the span is
+    /// the `(` or `UNION` that would cross it.
+    TooDeep {
+        /// The nesting limit, in levels.
+        limit: usize,
+    },
     /// A complete query was parsed but input remains.
     TrailingInput {
         /// The first leftover token, as written.
@@ -123,6 +130,9 @@ impl fmt::Display for SqlError {
             }
             ErrorKind::UnexpectedEof { expected } => {
                 write!(f, "expected {expected}, found end of input")
+            }
+            ErrorKind::TooDeep { limit } => {
+                write!(f, "query nests deeper than the limit of {limit} levels")
             }
             ErrorKind::TrailingInput { found } => {
                 write!(f, "unexpected `{found}` after the end of the query")

@@ -465,4 +465,81 @@ mod tests {
             expected
         );
     }
+
+    /// `SELECT * FROM (` nested `n` deep around a base-table scan.
+    fn derived_chain(n: usize) -> String {
+        format!(
+            "{}SELECT * FROM events{}",
+            "SELECT * FROM (".repeat(n),
+            ")".repeat(n)
+        )
+    }
+
+    /// A left-deep `UNION ALL` chain of `n` operands.
+    fn union_chain(n: usize) -> String {
+        let mut sql = "SELECT * FROM events".to_string();
+        sql.push_str(&" UNION ALL SELECT * FROM events".repeat(n - 1));
+        sql
+    }
+
+    // These run on the default 2 MiB test thread on purpose: the depth
+    // limit must hold there, not only on the larger main-thread stack.
+    #[test]
+    fn hostile_nesting_is_a_typed_error() {
+        let catalog = frontend_catalog();
+        let frontend = Frontend::new(&catalog);
+        for sql in [derived_chain(100_000), union_chain(100_000)] {
+            let err = frontend.compile(&sql, &[]).unwrap_err();
+            assert_eq!(
+                err.kind,
+                ErrorKind::TooDeep {
+                    limit: parser::MAX_QUERY_DEPTH
+                }
+            );
+            assert!(err.span.end <= sql.len());
+        }
+    }
+
+    #[test]
+    fn nesting_at_the_limit_compiles_and_one_more_level_does_not() {
+        let catalog = frontend_catalog();
+        let frontend = Frontend::new(&catalog);
+        let limit = parser::MAX_QUERY_DEPTH;
+        // Derived tables: `limit` levels compile, the next `(` is rejected.
+        assert!(frontend.compile(&derived_chain(limit), &[]).is_ok());
+        let sql = derived_chain(limit + 1);
+        let err = frontend.compile(&sql, &[]).unwrap_err();
+        let open = "SELECT * FROM (".len() * limit + "SELECT * FROM ".len();
+        assert_eq!((err.span.start, err.span.end), (open, open + 1));
+        // Union chains: `limit + 1` operands are `limit` levels tall.
+        assert!(frontend.compile(&union_chain(limit + 1), &[]).is_ok());
+        let sql = union_chain(limit + 2);
+        let err = frontend.compile(&sql, &[]).unwrap_err();
+        let union = sql.rfind("UNION").unwrap();
+        assert_eq!(
+            (err.span.start, err.span.end),
+            (union, union + "UNION".len())
+        );
+    }
+
+    /// Parenthesized queries count as levels too; the caret sits on the
+    /// first `(` past the limit.
+    #[test]
+    fn diagnostic_too_deep() {
+        let sql = format!(
+            "{}SELECT * FROM events",
+            "(".repeat(parser::MAX_QUERY_DEPTH + 1)
+        );
+        let caret = format!("{}^", " ".repeat(parser::MAX_QUERY_DEPTH));
+        let rendered = render_err(&sql);
+        let lines: Vec<&str> = rendered.lines().collect();
+        assert_eq!(
+            lines[0],
+            format!(
+                "error: query nests deeper than the limit of {} levels",
+                parser::MAX_QUERY_DEPTH
+            )
+        );
+        assert_eq!(lines[3], format!("  | {caret}"));
+    }
 }

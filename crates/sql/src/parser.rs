@@ -23,6 +23,11 @@
 //! `?` placeholders are numbered left to right in lexical order. The parser
 //! is purely syntactic: names, parameter arity, and clause legality are the
 //! rewrite pipeline's business.
+//!
+//! Nesting is bounded by [`MAX_QUERY_DEPTH`], so hostile input such as
+//! `SELECT * FROM (` repeated 100k times yields an [`ErrorKind::TooDeep`]
+//! diagnostic instead of overflowing the stack in the parser or in any
+//! later recursive pass over the tree.
 
 use crate::ast::{
     BetweenCond, CmpCond, ColumnRef, Condition, FromItem, JoinClause, Limit, OrderKey, QueryExpr,
@@ -32,6 +37,16 @@ use crate::diag::{ErrorKind, Result, SqlError};
 use crate::lexer::{lex, Token, TokenKind};
 use adas_workload::plan::CmpOp;
 
+/// Most nesting levels a query tree may have. Each derived table
+/// `FROM (…)`, each parenthesized query `(…)`, and each `UNION ALL` adds
+/// one level above what it contains; a left-deep chain of `n` `UNION ALL`
+/// operands is `n - 1` levels tall. The parser rejects the token that would
+/// cross the limit — the `(` or the `UNION` — before building anything
+/// deeper, so neither it nor any later recursive pass (rewrite, lowering,
+/// drop) ever sees an over-deep tree. A query at the limit compiles on a
+/// default 2 MiB thread.
+pub const MAX_QUERY_DEPTH: usize = 128;
+
 /// Parses a complete query, consuming all input.
 pub fn parse(sql: &str) -> Result<QueryExpr> {
     let tokens = lex(sql)?;
@@ -40,8 +55,9 @@ pub fn parse(sql: &str) -> Result<QueryExpr> {
         tokens,
         pos: 0,
         next_param: 0,
+        depth: 0,
     };
-    let query = parser.query()?;
+    let (query, _) = parser.query()?;
     let token = *parser.peek();
     if token.kind != TokenKind::Eof {
         return Err(SqlError::new(
@@ -59,6 +75,8 @@ struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
     next_param: usize,
+    /// Nesting levels open around the production being parsed.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -139,12 +157,61 @@ impl Parser<'_> {
         }
     }
 
-    fn query(&mut self) -> Result<QueryExpr> {
-        let mut left = self.union_term()?;
+    /// Fails on `token` when a node `levels` above the current production
+    /// would cross [`MAX_QUERY_DEPTH`].
+    fn check_depth(&self, levels: usize, token: &Token) -> Result<()> {
+        if self.depth + levels > MAX_QUERY_DEPTH {
+            return Err(SqlError::new(
+                ErrorKind::TooDeep {
+                    limit: MAX_QUERY_DEPTH,
+                },
+                token.span,
+            ));
+        }
+        Ok(())
+    }
+
+    /// Consumes the `(` at the cursor and parses the query inside it one
+    /// level deeper. Returns the `(` token, the query, and its height.
+    fn nested_query(&mut self) -> Result<(Token, QueryExpr, usize)> {
+        let open = *self.peek();
+        self.check_depth(1, &open)?;
+        self.advance();
+        self.depth += 1;
+        let inner = self.query();
+        self.depth -= 1;
+        let (query, height) = inner?;
+        Ok((open, query, height + 1))
+    }
+
+    /// Parses a query and returns it with its height in nesting levels
+    /// (see [`MAX_QUERY_DEPTH`]). Every production parsed at `self.depth`
+    /// keeps `self.depth + height <= MAX_QUERY_DEPTH`.
+    fn query(&mut self) -> Result<(QueryExpr, usize)> {
+        let first = self.union_term()?;
+        if self.at_keyword("UNION") {
+            self.union_chain(first)
+        } else {
+            Ok(first)
+        }
+    }
+
+    /// The `UNION ALL` operands after a query's first one, folded
+    /// left-deep. Split from [`Parser::query`] so the frame the nesting
+    /// recursion passes through stays small.
+    fn union_chain(&mut self, first: (QueryExpr, usize)) -> Result<(QueryExpr, usize)> {
+        let (mut left, mut height) = first;
         while self.at_keyword("UNION") {
+            // The union node sits one level above both operands.
+            let union = *self.peek();
+            self.check_depth(height + 1, &union)?;
             self.advance();
             self.expect_keyword("ALL")?;
-            let right = self.union_term()?;
+            self.depth += 1;
+            let right = self.union_term();
+            self.depth -= 1;
+            let (right, right_height) = right?;
+            height = 1 + height.max(right_height);
             let span = left.span().join(right.span());
             left = QueryExpr::Union {
                 left: Box::new(left),
@@ -152,26 +219,40 @@ impl Parser<'_> {
                 span,
             };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn union_term(&mut self) -> Result<QueryExpr> {
+    fn union_term(&mut self) -> Result<(QueryExpr, usize)> {
         if self.peek().kind == TokenKind::LParen {
-            self.advance();
-            let query = self.query()?;
+            let (_, query, height) = self.nested_query()?;
             self.expect(&TokenKind::RParen, "`)`")?;
-            Ok(query)
+            Ok((query, height))
         } else {
-            Ok(QueryExpr::Select(Box::new(self.select_block()?)))
+            let (block, height) = self.select_block()?;
+            Ok((QueryExpr::Select(Box::new(block)), height))
         }
     }
 
-    fn select_block(&mut self) -> Result<SelectBlock> {
+    /// Parses one select block and returns it with the height of its
+    /// deepest derived table (0 when it reads only base tables).
+    fn select_block(&mut self) -> Result<(SelectBlock, usize)> {
         let start = self.expect_keyword("SELECT")?.span;
         let select = self.select_list()?;
         self.expect_keyword("FROM")?;
-        let from = self.parse_from_item()?;
+        let (from, height) = self.parse_from_item()?;
+        self.block_clauses(start, select, from, height)
+    }
 
+    /// The clauses after a block's FROM item. Split from
+    /// [`Parser::select_block`] so the frame the derived-table recursion
+    /// passes through stays small.
+    fn block_clauses(
+        &mut self,
+        start: Span,
+        select: SelectList,
+        from: FromItem,
+        mut height: usize,
+    ) -> Result<(SelectBlock, usize)> {
         let join = if self.at_keyword("JOIN") || self.at_keyword("INNER") {
             let join_start = self.peek().span;
             if self.eat_keyword("INNER") {
@@ -179,7 +260,8 @@ impl Parser<'_> {
             } else {
                 self.advance();
             }
-            let right = self.parse_from_item()?;
+            let (right, right_height) = self.parse_from_item()?;
+            height = height.max(right_height);
             self.expect_keyword("ON")?;
             let left_key = self.column()?;
             self.expect(&TokenKind::Eq, "`=`")?;
@@ -253,7 +335,7 @@ impl Parser<'_> {
             None
         };
 
-        Ok(SelectBlock {
+        let block = SelectBlock {
             select,
             from,
             join,
@@ -262,7 +344,8 @@ impl Parser<'_> {
             order_by,
             limit,
             span: start.join(self.prev_span()),
-        })
+        };
+        Ok((block, height))
     }
 
     fn select_list(&mut self) -> Result<SelectList> {
@@ -278,20 +361,21 @@ impl Parser<'_> {
         Ok(SelectList::Columns(columns))
     }
 
-    fn parse_from_item(&mut self) -> Result<FromItem> {
+    /// Parses a FROM item and returns it with its height in nesting levels.
+    fn parse_from_item(&mut self) -> Result<(FromItem, usize)> {
         match &self.peek().kind {
             TokenKind::LParen => {
-                let start = self.advance().span;
-                let query = self.query()?;
+                let (open, query, height) = self.nested_query()?;
                 let end = self.expect(&TokenKind::RParen, "`)`")?.span;
-                Ok(FromItem::Derived {
+                let derived = FromItem::Derived {
                     query: Box::new(query),
-                    span: start.join(end),
-                })
+                    span: open.span.join(end),
+                };
+                Ok((derived, height))
             }
             TokenKind::Ident => {
                 let (name, span) = self.ident("a table name")?;
-                Ok(FromItem::Table { name, span })
+                Ok((FromItem::Table { name, span }, 0))
             }
             _ => Err(self.error_here("a table name or `(`")),
         }

@@ -5,6 +5,16 @@
 //! Zhu et al. §3) can skip inference entirely. The cache is sharded to keep
 //! lock contention off the multi-threaded serving path; each shard runs an
 //! exact LRU over its own slice of the capacity.
+//!
+//! A shard is a `HashMap` from key to a slot in a node slab, and the nodes
+//! form a doubly linked recency list. `get` and `insert` are O(1): a hit or
+//! a refresh moves the node to the head, and an insert into a full shard
+//! unlinks the tail, reuses that node in place and drops the victim's key
+//! from the map. Every touch moves a node to the head and a miss reorders
+//! nothing, so list order is last-touch order and the tail is exactly the
+//! least recently used entry. Once a shard is warm (full), an insert
+//! reuses the victim's node in place: the slab never grows again and the map
+//! holds a fixed number of keys, so inserts do no per-entry allocation.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -39,22 +49,82 @@ impl CacheKey {
     }
 }
 
-#[derive(Debug, Default)]
+/// `nodes` index meaning "no node" (list ends, empty shard).
+const NIL: u32 = u32::MAX;
+
+/// One cached entry, linked into its shard's recency list.
+#[derive(Debug)]
+struct Node {
+    key: CacheKey,
+    value: f64,
+    /// Next more recently touched node (`NIL` at the head).
+    newer: u32,
+    /// Next less recently touched node (`NIL` at the tail).
+    older: u32,
+}
+
+/// One shard: a hash index into a slab of nodes threaded on a doubly
+/// linked recency list, most recent at `head`, least recent at `tail`.
+#[derive(Debug)]
 struct Shard {
-    /// key → (value, last-touch tick).
-    map: HashMap<CacheKey, (f64, u64)>,
-    /// Monotonic per-shard recency clock.
-    tick: u64,
+    map: HashMap<CacheKey, u32>,
+    nodes: Vec<Node>,
+    head: u32,
+    tail: u32,
 }
 
 impl Shard {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    fn new() -> Self {
+        Self {
+            map: HashMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Node { newer, older, .. } = self.nodes[i as usize];
+        match newer {
+            NIL => self.head = older,
+            n => self.nodes[n as usize].older = older,
+        }
+        match older {
+            NIL => self.tail = newer,
+            o => self.nodes[o as usize].newer = newer,
+        }
+    }
+
+    fn push_head(&mut self, i: u32) {
+        let old_head = self.head;
+        let node = &mut self.nodes[i as usize];
+        node.newer = NIL;
+        node.older = old_head;
+        match old_head {
+            NIL => self.tail = i,
+            h => self.nodes[h as usize].newer = i,
+        }
+        self.head = i;
+    }
+
+    /// Makes node `i` the most recent.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_head(i);
+        }
     }
 }
 
 /// Sharded LRU cache of scalar predictions.
+///
+/// Each shard keeps its entries on an intrusive recency list over a slab of
+/// nodes, so `get` and `insert` are O(1): a hit moves its node to the head,
+/// and an insert into a full shard recycles the tail node in place. The
+/// tail is exactly the least recently touched entry — every touch moves a
+/// node to the head and a miss reorders nothing — so eviction is exact LRU
+/// within the shard. Once a shard has filled, inserts recycle nodes and make
+/// no per-entry allocation.
 #[derive(Debug)]
 pub struct PredictionCache {
     shards: Vec<Mutex<Shard>>,
@@ -66,12 +136,13 @@ pub struct PredictionCache {
 
 impl PredictionCache {
     /// Creates a cache holding roughly `capacity` entries across `shards`
-    /// shards (each shard holds `ceil(capacity / shards)`, min 1).
+    /// shards (each shard holds `ceil(capacity / shards)`, min 1, at most
+    /// `u32::MAX` so node indices fit their `u32` links).
     pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
+        let per_shard = capacity.div_ceil(shards).clamp(1, NIL as usize);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             per_shard,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -86,11 +157,10 @@ impl PredictionCache {
     /// Looks up a prediction, bumping its recency and the hit/miss counters.
     pub fn get(&self, key: &CacheKey) -> Option<f64> {
         let mut shard = self.shards[self.shard_of(key)].lock();
-        let tick = shard.touch();
-        match shard.map.get_mut(key) {
-            Some((value, last)) => {
-                *last = tick;
-                let value = *value;
+        match shard.map.get(key).copied() {
+            Some(i) => {
+                shard.touch(i);
+                let value = shard.nodes[i as usize].value;
                 drop(shard);
                 self.hits.fetch_add(1, Relaxed);
                 Some(value)
@@ -106,26 +176,38 @@ impl PredictionCache {
     /// Looks up a prediction without touching recency or counters.
     pub fn peek(&self, key: &CacheKey) -> Option<f64> {
         let shard = self.shards[self.shard_of(key)].lock();
-        shard.map.get(key).map(|&(value, _)| value)
+        shard.map.get(key).map(|&i| shard.nodes[i as usize].value)
     }
 
-    /// Inserts (or refreshes) a prediction, evicting the least-recently-used
-    /// entry of the target shard if it is full.
+    /// Inserts (or refreshes) a prediction as the most recent entry of its
+    /// shard, evicting the shard's least-recently-used entry if it is full.
     pub fn insert(&self, key: CacheKey, value: f64) {
         let mut shard = self.shards[self.shard_of(&key)].lock();
-        let tick = shard.touch();
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
-            if let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, &(_, last))| last)
-                .map(|(k, _)| *k)
-            {
-                shard.map.remove(&victim);
-                self.evictions.fetch_add(1, Relaxed);
-            }
+        if let Some(&i) = shard.map.get(&key) {
+            shard.nodes[i as usize].value = value;
+            shard.touch(i);
+            return;
         }
-        shard.map.insert(key, (value, tick));
+        let i = if shard.nodes.len() < self.per_shard {
+            shard.nodes.push(Node {
+                key,
+                value,
+                newer: NIL,
+                older: NIL,
+            });
+            (shard.nodes.len() - 1) as u32
+        } else {
+            let victim = shard.tail;
+            shard.unlink(victim);
+            let node = &mut shard.nodes[victim as usize];
+            let old_key = std::mem::replace(&mut node.key, key);
+            node.value = value;
+            shard.map.remove(&old_key);
+            self.evictions.fetch_add(1, Relaxed);
+            victim
+        };
+        shard.map.insert(key, i);
+        shard.push_head(i);
     }
 
     /// Total entries currently cached.
@@ -148,15 +230,19 @@ impl PredictionCache {
         self.per_shard
     }
 
-    /// All cached keys of one shard, most recent first (test/diagnostic
-    /// helper; takes the shard lock).
+    /// All cached keys of one shard, most recent first — a walk of the
+    /// shard's recency list from its head, so the last key is the next
+    /// eviction victim (test/diagnostic helper; takes the shard lock).
     pub fn shard_keys_by_recency(&self, shard: usize) -> Vec<CacheKey> {
         let guard = self.shards[shard].lock();
-        let mut entries: Vec<(CacheKey, u64)> =
-            guard.map.iter().map(|(k, &(_, last))| (*k, last)).collect();
-        drop(guard);
-        entries.sort_by_key(|&(_, last)| std::cmp::Reverse(last));
-        entries.into_iter().map(|(k, _)| k).collect()
+        let mut keys = Vec::with_capacity(guard.map.len());
+        let mut i = guard.head;
+        while i != NIL {
+            let node = &guard.nodes[i as usize];
+            keys.push(node.key);
+            i = node.older;
+        }
+        keys
     }
 
     /// Shard index a key maps to (test/diagnostic helper).
@@ -232,6 +318,27 @@ mod tests {
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.peek(&key(1)), Some(10.0));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn reinsert_into_full_shard_moves_key_to_most_recent() {
+        let cache = PredictionCache::new(3, 1);
+        for d in 1..=3 {
+            cache.insert(key(d), d as f64);
+        }
+        // Key 1 is the LRU tail; refreshing it must not evict anything.
+        cache.insert(key(1), 10.0);
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.shard_keys_by_recency(0), vec![key(1), key(3), key(2)]);
+        // Refreshing the head is a no-op on the order.
+        cache.insert(key(1), 11.0);
+        assert_eq!(cache.shard_keys_by_recency(0), vec![key(1), key(3), key(2)]);
+        assert_eq!(cache.peek(&key(1)), Some(11.0));
+        // The next fresh key now evicts key 2, the true LRU.
+        cache.insert(key(4), 4.0);
+        assert_eq!(cache.evictions(), 1);
+        assert_eq!(cache.shard_keys_by_recency(0), vec![key(4), key(1), key(3)]);
+        assert!(cache.peek(&key(2)).is_none());
     }
 
     #[test]

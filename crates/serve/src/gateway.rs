@@ -8,10 +8,11 @@ use crate::pool::{BatchPromise, WorkerPool};
 use crate::{Result, ServeError};
 use adas_core::feedback::ModelRegistry;
 use adas_faultsim::{ModelFaults, Served};
-use adas_obs::{digest_f64, DeploymentKind, Obs, Provenance};
+use adas_obs::{digest_f64, CounterHandle, DeploymentKind, Obs, Provenance};
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -48,10 +49,6 @@ pub struct GatewayConfig {
     pub max_in_flight: usize,
     /// Per-model circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Use the pre-simkern O(open groups) deadline scan instead of the
-    /// timer wheel. Flushes are identical either way (the equivalence
-    /// suite pins this); the flag exists so that proof stays executable.
-    pub legacy_deadline_scan: bool,
 }
 
 impl GatewayConfig {
@@ -66,7 +63,6 @@ impl GatewayConfig {
             cache_shards: 8,
             max_in_flight: 1 << 20,
             breaker: BreakerConfig::default(),
-            legacy_deadline_scan: false,
         }
     }
 
@@ -82,7 +78,6 @@ impl GatewayConfig {
             cache_shards: 1,
             max_in_flight: usize::MAX,
             breaker: BreakerConfig::disabled(),
-            legacy_deadline_scan: false,
         }
     }
 
@@ -114,6 +109,9 @@ pub enum FallbackCause {
     Shed,
     /// No model version has been published yet.
     NoModel,
+    /// The model panicked during inference, or answered a batch with the
+    /// wrong number of values.
+    ModelPanic,
 }
 
 impl FallbackCause {
@@ -125,6 +123,7 @@ impl FallbackCause {
             FallbackCause::Guarded => "guarded",
             FallbackCause::Shed => "shed",
             FallbackCause::NoModel => "no_model",
+            FallbackCause::ModelPanic => "model_panic",
         }
     }
 }
@@ -297,6 +296,31 @@ struct CandidateState {
 /// Boxed degraded-mode heuristic registered alongside each model.
 type Fallback = Box<dyn Fn(&[f64]) -> f64 + Send + Sync>;
 
+/// A model's per-row counters, resolved once at registration so the
+/// serving path updates them without hashing any strings. A handle creates
+/// no metric slot until its first use, so the exported registry is the same
+/// as with string-keyed calls.
+struct EntryMetrics {
+    requests: CounterHandle,
+    cache_hits: CounterHandle,
+    cache_misses: CounterHandle,
+    slo_good: CounterHandle,
+    slo_bad: CounterHandle,
+}
+
+impl EntryMetrics {
+    fn new(obs: &Obs, model: &str) -> Self {
+        let handle = |name| obs.counter_handle(COMPONENT, name, &[("model", model)]);
+        Self {
+            requests: handle("requests"),
+            cache_hits: handle("cache_hits"),
+            cache_misses: handle("cache_misses"),
+            slo_good: handle("slo_good"),
+            slo_bad: handle("slo_bad"),
+        }
+    }
+}
+
 struct ModelEntry {
     name: String,
     id: usize,
@@ -310,6 +334,7 @@ struct ModelEntry {
     breaker: Mutex<CircuitBreaker>,
     faults: Mutex<FaultChannel>,
     fallback: Fallback,
+    metrics: EntryMetrics,
 }
 
 struct Inner {
@@ -394,6 +419,7 @@ impl Gateway {
             breaker: Mutex::new(CircuitBreaker::new(self.inner.config.breaker)),
             faults: Mutex::new(FaultChannel::default()),
             fallback: Box::new(fallback),
+            metrics: EntryMetrics::new(&self.inner.obs, name),
         }));
         drop(entries);
         let handle = ModelHandle(id);
@@ -940,7 +966,7 @@ impl Gateway {
             );
         }
         self.inner.counters.model_calls.fetch_add(1, Relaxed);
-        let clean = snapshot.model.predict(features);
+        let clean = catch_unwind(AssertUnwindSafe(|| snapshot.model.predict(features))).ok();
         self.settle(entry, &snapshot, features, digest, clean, sim_time)
     }
 
@@ -980,30 +1006,17 @@ impl Gateway {
             let now = request.sim_time;
             // Deadline flushes happen before this request is admitted — a
             // deterministic function of the request sequence alone. The
-            // wheel pops groups oldest-first while the *exact* legacy
-            // comparison holds; the due-set matches the legacy scan because
-            // the predicate is monotone in the open tick, and flush order
-            // within one instant is unobservable (counters are sums and
-            // results settle in request order).
+            // wheel pops groups oldest-first while `now - opened >=
+            // deadline` holds; since that predicate is monotone in the open
+            // tick, the popped set is exactly the set of overdue groups, and
+            // flush order within one instant is unobservable (counters are
+            // sums and results settle in request order).
             if config.batch_deadline_ticks.is_finite() {
-                if config.legacy_deadline_scan {
-                    let mut i = 0;
-                    while i < open.len() {
-                        let g = open[i].2;
-                        if now - groups[g].oldest >= config.batch_deadline_ticks {
-                            self.dispatch(&mut groups[g]);
-                            open.remove(i);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                } else {
-                    while let Some((_, g)) =
-                        deadlines.pop_due(|oldest| now - oldest >= config.batch_deadline_ticks)
-                    {
-                        self.dispatch(&mut groups[g]);
-                        open.retain(|&(_, _, gg)| gg != g);
-                    }
+                while let Some((_, g)) =
+                    deadlines.pop_due(|oldest| now - oldest >= config.batch_deadline_ticks)
+                {
+                    self.dispatch(&mut groups[g]);
+                    open.retain(|&(_, _, gg)| gg != g);
                 }
             }
             self.admit(&entry);
@@ -1068,15 +1081,11 @@ impl Gateway {
                     groups.push(BatchGroup {
                         snapshot: snapshot.clone(),
                         rows: Vec::new(),
-                        oldest: now,
                         promise: None,
                     });
                     let g = groups.len() - 1;
                     open.push((entry.id as u64, snapshot.version, g));
-                    if config.batch_deadline_ticks.is_finite()
-                        && !config.legacy_deadline_scan
-                        && now.is_finite()
-                    {
+                    if config.batch_deadline_ticks.is_finite() && now.is_finite() {
                         deadlines.schedule(now, g);
                     }
                     g
@@ -1149,17 +1158,23 @@ impl Gateway {
         let promise = Arc::new(BatchPromise::new());
         group.promise = Some(Arc::clone(&promise));
         let model = Arc::clone(&group.snapshot.model);
+        // A panicking model fails the promise instead of leaving it unfilled
+        // (which would block `predict_many` forever), and so does a
+        // miscounted answer, whose values cannot be matched to rows; settle
+        // turns the failure into a `ModelPanic` fallback.
+        let job = move || match catch_unwind(AssertUnwindSafe(|| model.predict_batch(&rows))) {
+            Ok(values) if values.len() == rows.len() => promise.fill(values),
+            _ => promise.fail(),
+        };
         match &self.inner.pool {
-            Some(pool) => pool.submit(Box::new(move || promise.fill(model.predict_batch(&rows)))),
-            None => promise.fill(model.predict_batch(&rows)),
+            Some(pool) => pool.submit(Box::new(job)),
+            None => job(),
         }
     }
 
     fn admit(&self, entry: &ModelEntry) {
         self.inner.counters.requests.fetch_add(1, Relaxed);
-        self.inner
-            .obs
-            .counter_add(COMPONENT, "requests", &[("model", entry.name.as_str())], 1);
+        entry.metrics.requests.add(&mut self.inner.obs.batch(), 1);
     }
 
     /// Per-model SLO bookkeeping: every answer either meets the objective
@@ -1167,10 +1182,12 @@ impl Gateway {
     /// fallbacks of any cause). Watchtower's SLO engine and the Prometheus
     /// export aggregate these.
     fn record_slo(&self, entry: &ModelEntry, good: bool) {
-        let name = if good { "slo_good" } else { "slo_bad" };
-        self.inner
-            .obs
-            .counter_add(COMPONENT, name, &[("model", entry.name.as_str())], 1);
+        let counter = if good {
+            &entry.metrics.slo_good
+        } else {
+            &entry.metrics.slo_bad
+        };
+        counter.add(&mut self.inner.obs.batch(), 1);
     }
 
     fn probe_cache(
@@ -1192,12 +1209,7 @@ impl Gateway {
         match cache.get(&key) {
             Some(value) => {
                 self.inner.counters.cache_hits.fetch_add(1, Relaxed);
-                self.inner.obs.counter_add(
-                    COMPONENT,
-                    "cache_hits",
-                    &[("model", entry.name.as_str())],
-                    1,
-                );
+                entry.metrics.cache_hits.add(&mut self.inner.obs.batch(), 1);
                 self.record_slo(entry, true);
                 Some(Prediction {
                     value,
@@ -1208,12 +1220,10 @@ impl Gateway {
             }
             None => {
                 self.inner.counters.cache_misses.fetch_add(1, Relaxed);
-                self.inner.obs.counter_add(
-                    COMPONENT,
-                    "cache_misses",
-                    &[("model", entry.name.as_str())],
-                    1,
-                );
+                entry
+                    .metrics
+                    .cache_misses
+                    .add(&mut self.inner.obs.batch(), 1);
                 None
             }
         }
@@ -1232,16 +1242,29 @@ impl Gateway {
 
     /// Applies fault channels, the poison guard, breaker accounting and the
     /// cache fill to a freshly computed `clean` prediction — all on the
-    /// caller thread, in request order.
+    /// caller thread, in request order. `None` means inference failed
+    /// (see [`FallbackCause::ModelPanic`]): it counts against the breaker
+    /// like a timeout and serves the fallback.
     fn settle(
         &self,
         entry: &ModelEntry,
         snapshot: &ServingSnapshot,
         features: &[f64],
         digest: u64,
-        clean: f64,
+        clean: Option<f64>,
         sim_time: f64,
     ) -> Prediction {
+        let Some(clean) = clean else {
+            self.breaker_failure(entry, sim_time);
+            return self.serve_fallback(
+                entry,
+                snapshot.version,
+                digest,
+                features,
+                FallbackCause::ModelPanic,
+                sim_time,
+            );
+        };
         let served = {
             let mut channel = entry.faults.lock();
             let biased = if channel.poisoned.covers(snapshot.version) {
@@ -1443,7 +1466,6 @@ impl Gateway {
 struct BatchGroup {
     snapshot: Arc<ServingSnapshot>,
     rows: Vec<Vec<f64>>,
-    oldest: f64,
     promise: Option<Arc<BatchPromise>>,
 }
 
@@ -1679,38 +1701,147 @@ mod tests {
         assert_eq!(gateway.stats().batches, 2);
     }
 
+    /// Adds `tag` to feature 0, and appends every batch it predicts —
+    /// `(tag, feature 0 of each row)` — to a shared log.
+    struct BatchLog {
+        tag: u64,
+        log: Arc<Mutex<Vec<(u64, Vec<f64>)>>>,
+    }
+
+    impl ServableModel for BatchLog {
+        fn predict(&self, features: &[f64]) -> f64 {
+            features[0] + self.tag as f64
+        }
+
+        fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+            self.log
+                .lock()
+                .push((self.tag, rows.iter().map(|r| r[0]).collect()));
+            rows.iter().map(|row| self.predict(row)).collect()
+        }
+    }
+
     #[test]
     fn timer_wheel_flushes_match_legacy_scan() {
-        // Same request sequence through the wheel-backed and legacy
-        // deadline paths: identical predictions (bit-for-bit) and stats.
-        let mk = |legacy: bool| {
-            let mut config = GatewayConfig::standard();
-            config.cache_capacity = 0;
-            config.batch_size = 3;
-            config.batch_deadline_ticks = 4.0;
-            config.legacy_deadline_scan = legacy;
-            identity_gateway(config)
-        };
-        let times = [0.0, 1.0, 2.5, 5.0, 5.0, 9.5, 12.0, 12.0, 20.0];
-        let build = |handle| {
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| Request::new(handle, vec![i as f64], t))
-                .collect::<Vec<_>>()
-        };
-        let (wheel_gw, wheel_handle) = mk(false);
-        let (legacy_gw, legacy_handle) = mk(true);
-        let wheel_out = wheel_gw.predict_many(&build(wheel_handle)).unwrap();
-        let legacy_out = legacy_gw.predict_many(&build(legacy_handle)).unwrap();
-        for (a, b) in wheel_out.iter().zip(&legacy_out) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-            assert_eq!(a.source, b.source);
+        // Reference: the O(open groups) scan the timer wheel replaced. On
+        // every arrival it flushes each open group whose oldest row is at
+        // least the deadline old, then files the row into its model's open
+        // group and flushes that group once it reaches the batch size.
+        fn scan(arrivals: &[(u64, f64, f64)], size: usize, deadline: f64) -> Vec<(u64, Vec<f64>)> {
+            let mut open: Vec<(u64, f64, Vec<f64>)> = Vec::new();
+            let mut flushed = Vec::new();
+            for &(model, x, now) in arrivals {
+                let mut i = 0;
+                while i < open.len() {
+                    if now - open[i].1 >= deadline {
+                        let (m, _, rows) = open.remove(i);
+                        flushed.push((m, rows));
+                    } else {
+                        i += 1;
+                    }
+                }
+                let g = match open.iter().position(|o| o.0 == model) {
+                    Some(g) => g,
+                    None => {
+                        open.push((model, now, Vec::new()));
+                        open.len() - 1
+                    }
+                };
+                open[g].2.push(x);
+                if open[g].2.len() >= size {
+                    let (m, _, rows) = open.remove(g);
+                    flushed.push((m, rows));
+                }
+            }
+            flushed.extend(open.into_iter().map(|(m, _, rows)| (m, rows)));
+            flushed
         }
-        let (ws, ls) = (wheel_gw.stats(), legacy_gw.stats());
-        assert_eq!(ws.batches, ls.batches);
-        assert_eq!(ws.batched_rows, ls.batched_rows);
-        assert_eq!(ws.model_calls, ls.model_calls);
+
+        let mut config = GatewayConfig::standard();
+        config.cache_capacity = 0;
+        config.batch_size = 3;
+        config.batch_deadline_ticks = 4.0;
+        let gateway = Gateway::new(config);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let handles: Vec<ModelHandle> = (0..2u64)
+            .map(|m| {
+                let handle = gateway.register(&format!("m{m}"), |_| 0.0);
+                let model = BatchLog {
+                    tag: m * 100,
+                    log: Arc::clone(&log),
+                };
+                gateway.publish(handle, Arc::new(model), 0.0).unwrap();
+                handle
+            })
+            .collect();
+        // Two models interleave, so several groups are open at once.
+        let times = [
+            0.0, 1.0, 2.5, 3.9, 5.0, 5.0, 6.5, 9.5, 12.0, 12.0, 13.0, 20.0, 20.0, 23.5, 30.0,
+        ];
+        let arrivals: Vec<(u64, f64, f64)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| ((i % 3 == 0) as u64, i as f64, t))
+            .collect();
+        let requests: Vec<Request> = arrivals
+            .iter()
+            .map(|&(m, x, t)| Request::new(handles[m as usize], vec![x], t))
+            .collect();
+        let out = gateway.predict_many(&requests).unwrap();
+
+        let mut expected: Vec<(u64, Vec<f64>)> = scan(&arrivals, 3, 4.0)
+            .into_iter()
+            .map(|(m, rows)| (m * 100, rows))
+            .collect();
+        let mut got = log.lock().clone();
+        let by_rows = |a: &(u64, Vec<f64>), b: &(u64, Vec<f64>)| a.partial_cmp(b).unwrap();
+        expected.sort_by(by_rows);
+        got.sort_by(by_rows);
+        assert_eq!(got, expected, "flushed row sets differ from the scan");
+        let stats = gateway.stats();
+        assert_eq!(stats.batches, expected.len() as u64);
+        assert_eq!(
+            stats.batched_rows,
+            expected
+                .iter()
+                .map(|(_, rows)| rows.len() as u64)
+                .sum::<u64>()
+        );
+        for (&(m, x, _), p) in arrivals.iter().zip(&out) {
+            assert_eq!(p.source, Source::Model);
+            assert_eq!(p.value.to_bits(), (x + (m * 100) as f64).to_bits());
+        }
+    }
+
+    /// Answers every batch with one value too few.
+    struct ShortBatch;
+
+    impl ServableModel for ShortBatch {
+        fn predict(&self, features: &[f64]) -> f64 {
+            features[0]
+        }
+
+        fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+            rows[1..].iter().map(|row| self.predict(row)).collect()
+        }
+    }
+
+    #[test]
+    fn miscounted_batch_answer_fails_every_row() {
+        let mut config = GatewayConfig::standard();
+        config.batch_size = 2;
+        let gateway = Gateway::new(config);
+        let handle = gateway.register("m", |f: &[f64]| f[0] * 10.0);
+        gateway.publish(handle, Arc::new(ShortBatch), 0.0).unwrap();
+        let requests = vec![
+            Request::new(handle, vec![1.0], 0.0),
+            Request::new(handle, vec![2.0], 0.0),
+        ];
+        let out = gateway.predict_many(&requests).unwrap();
+        for (p, fallback) in out.iter().zip([10.0, 20.0]) {
+            assert_eq!(p.source, Source::Fallback(FallbackCause::ModelPanic));
+            assert_eq!(p.value, fallback);
+        }
     }
 
     #[test]

@@ -5,13 +5,22 @@
 //! All observable state mutation stays on the caller thread (see the crate
 //! docs), so the pool affects wall-clock timing but never results. Uses
 //! `std::sync::{Mutex, Condvar}` — the vendored `parking_lot` shim has no
-//! condition variables.
+//! condition variables. A panicking job never takes the pool down: workers
+//! catch it, and every lock recovers from poisoning, since no critical
+//! section here can leave its state half-written.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Locks `mutex`, taking the state over from a thread that panicked while
+/// holding it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct PoolState {
     queue: VecDeque<Job>,
@@ -68,9 +77,13 @@ impl WorkerPool {
     /// Enqueues a job, blocking while the queue is at capacity
     /// (backpressure). Jobs submitted after shutdown are dropped.
     pub fn submit(&self, job: Job) {
-        let mut state = self.shared.state.lock().expect("pool lock");
+        let mut state = lock(&self.shared.state);
         while state.queue.len() >= self.shared.capacity && !state.shutdown {
-            state = self.shared.not_full.wait(state).expect("pool lock");
+            state = self
+                .shared
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if state.shutdown {
             return;
@@ -83,10 +96,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool lock");
-            state.shutdown = true;
-        }
+        lock(&self.shared.state).shutdown = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         for handle in self.workers.drain(..) {
@@ -98,7 +108,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut state = shared.state.lock().expect("pool lock");
+            let mut state = lock(&shared.state);
             loop {
                 if let Some(job) = state.queue.pop_front() {
                     shared.not_full.notify_one();
@@ -107,20 +117,27 @@ fn worker_loop(shared: &Shared) {
                 if state.shutdown {
                     return;
                 }
-                state = shared.not_empty.wait(state).expect("pool lock");
+                state = shared
+                    .not_empty
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        job();
+        // A job that panics must not kill its worker: the pool would shrink
+        // and, with every worker gone, `submit` would block forever.
+        let _ = catch_unwind(AssertUnwindSafe(job));
     }
 }
 
 /// One-shot cell a batched inference result is published into.
 ///
-/// The worker calls [`BatchPromise::fill`] exactly once; callers block in
-/// [`BatchPromise::get`] until the batch is ready. When the gateway runs
-/// with zero workers the promise is filled inline before anyone waits.
+/// The worker settles it exactly once, with [`BatchPromise::fill`] or, when
+/// inference failed, [`BatchPromise::fail`]; callers block in
+/// [`BatchPromise::get`] until it is settled. When the gateway runs with
+/// zero workers the promise is settled inline before anyone waits.
 pub struct BatchPromise {
-    slot: Mutex<Option<Vec<f64>>>,
+    /// `None` until settled; then `Some(None)` for a failed batch.
+    slot: Mutex<Option<Option<Vec<f64>>>>,
     ready: Condvar,
 }
 
@@ -133,9 +150,19 @@ impl BatchPromise {
         }
     }
 
-    /// Publishes the batch results (first fill wins).
+    /// Publishes the batch results (first settle wins).
     pub fn fill(&self, values: Vec<f64>) {
-        let mut slot = self.slot.lock().expect("promise lock");
+        self.settle(Some(values));
+    }
+
+    /// Marks the batch as failed — its inference panicked or answered the
+    /// wrong number of rows — so no row has a value (first settle wins).
+    pub fn fail(&self) {
+        self.settle(None);
+    }
+
+    fn settle(&self, values: Option<Vec<f64>>) {
+        let mut slot = lock(&self.slot);
         if slot.is_none() {
             *slot = Some(values);
         }
@@ -143,13 +170,19 @@ impl BatchPromise {
         self.ready.notify_all();
     }
 
-    /// Blocks until the batch is filled, then returns row `index`.
-    pub fn get(&self, index: usize) -> f64 {
-        let mut slot = self.slot.lock().expect("promise lock");
+    /// Blocks until the batch is settled, then returns row `index` — `None`
+    /// when the batch failed or returned no value for that row.
+    pub fn get(&self, index: usize) -> Option<f64> {
+        let mut slot = lock(&self.slot);
         while slot.is_none() {
-            slot = self.ready.wait(slot).expect("promise lock");
+            slot = self
+                .ready
+                .wait(slot)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        slot.as_ref().expect("filled")[index]
+        slot.as_ref()
+            .and_then(Option::as_ref)
+            .and_then(|values| values.get(index).copied())
     }
 }
 
@@ -179,7 +212,7 @@ mod tests {
                 }
             }));
         }
-        done.get(0);
+        assert!(done.get(0).is_some());
         assert_eq!(counter.load(Ordering::SeqCst), total);
     }
 
@@ -188,8 +221,30 @@ mod tests {
         let promise = Arc::new(BatchPromise::new());
         let writer = Arc::clone(&promise);
         let handle = std::thread::spawn(move || writer.fill(vec![2.5, 7.5]));
-        assert_eq!(promise.get(1), 7.5);
+        assert_eq!(promise.get(1), Some(7.5));
+        assert_eq!(promise.get(2), None, "no value past the batch");
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn failed_promise_wakes_waiters_with_no_value() {
+        let promise = Arc::new(BatchPromise::new());
+        let writer = Arc::clone(&promise);
+        let handle = std::thread::spawn(move || writer.fail());
+        assert_eq!(promise.get(0), None);
+        handle.join().unwrap();
+        promise.fill(vec![1.0]);
+        assert_eq!(promise.get(0), None, "first settle wins");
+    }
+
+    #[test]
+    fn panicking_job_keeps_the_worker_alive() {
+        let pool = WorkerPool::new(1, 1);
+        pool.submit(Box::new(|| panic!("job panicked")));
+        let done = Arc::new(BatchPromise::new());
+        let writer = Arc::clone(&done);
+        pool.submit(Box::new(move || writer.fill(vec![3.0])));
+        assert_eq!(done.get(0), Some(3.0));
     }
 
     #[test]

@@ -20,13 +20,18 @@ enum Op {
     Get(u64),
 }
 
+/// Raw digests; each cache shape folds them into a key space a little
+/// larger than its capacity, so shards fill and evict constantly.
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        // Small digest space so shards fill and evict constantly.
-        (0u64..24, -1e6f64..1e6).prop_map(|(d, v)| Op::Insert(d, v)),
-        (0u64..24).prop_map(Op::Get),
+        (0u64..1024, -1e6f64..1e6).prop_map(|(d, v)| Op::Insert(d, v)),
+        (0u64..1024).prop_map(Op::Get),
     ]
 }
+
+/// `(capacity, shards)` shapes the LRU property runs over: one entry, a
+/// few small shards, and a realistic shard size.
+const SHAPES: [(usize, usize); 3] = [(1, 1), (8, 2), (64, 4)];
 
 fn key(digest: u64) -> CacheKey {
     CacheKey {
@@ -41,6 +46,7 @@ struct ShadowShard {
     order: Vec<CacheKey>,
     values: std::collections::HashMap<CacheKey, f64>,
     capacity: usize,
+    evictions: u64,
 }
 
 impl ShadowShard {
@@ -53,6 +59,7 @@ impl ShadowShard {
         if !self.values.contains_key(&key) && self.order.len() >= self.capacity {
             let victim = self.order.pop().expect("full shard has a victim");
             self.values.remove(&victim);
+            self.evictions += 1;
         }
         self.values.insert(key, value);
         self.touch_front(key);
@@ -67,54 +74,78 @@ impl ShadowShard {
     }
 }
 
-proptest! {
-    /// Replaying any op sequence against the real cache and the shadow LRU
-    /// leaves every shard holding exactly the shadow's keys, in the
-    /// shadow's recency order, with bitwise-identical values.
-    #[test]
-    fn eviction_respects_the_lru_watermark(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let cache = PredictionCache::new(8, 2);
-        let mut shadow: Vec<ShadowShard> = (0..cache.shard_count())
-            .map(|_| ShadowShard {
-                order: Vec::new(),
-                values: std::collections::HashMap::new(),
-                capacity: cache.per_shard_capacity(),
-            })
-            .collect();
+/// Replays `ops` against a `(capacity, shards)` cache and the shadow LRU:
+/// every shard must hold exactly the shadow's keys, in the shadow's recency
+/// order, with bitwise-identical values, after the same evictions.
+fn replay_against_shadow(ops: &[Op], capacity: usize, shards: usize) -> Result<(), TestCaseError> {
+    let cache = PredictionCache::new(capacity, shards);
+    let space = (capacity as u64 * 3).div_ceil(2) + 4;
+    let mut shadow: Vec<ShadowShard> = (0..cache.shard_count())
+        .map(|_| ShadowShard {
+            order: Vec::new(),
+            values: std::collections::HashMap::new(),
+            capacity: cache.per_shard_capacity(),
+            evictions: 0,
+        })
+        .collect();
 
-        for op in &ops {
-            match *op {
-                Op::Insert(d, v) => {
-                    let k = key(d);
-                    cache.insert(k, v);
-                    shadow[cache.shard_index(&k)].insert(k, v);
-                }
-                Op::Get(d) => {
-                    let k = key(d);
-                    let real = cache.get(&k);
-                    let expected = shadow[cache.shard_index(&k)].get(k);
-                    prop_assert_eq!(real.map(f64::to_bits), expected.map(f64::to_bits));
-                }
+    for op in ops {
+        match *op {
+            Op::Insert(d, v) => {
+                let k = key(d % space);
+                cache.insert(k, v);
+                shadow[cache.shard_index(&k)].insert(k, v);
+            }
+            Op::Get(d) => {
+                let k = key(d % space);
+                let real = cache.get(&k);
+                let expected = shadow[cache.shard_index(&k)].get(k);
+                prop_assert_eq!(real.map(f64::to_bits), expected.map(f64::to_bits));
             }
         }
+    }
 
-        for (s, shadow_shard) in shadow.iter().enumerate() {
-            let real_order = cache.shard_keys_by_recency(s);
-            prop_assert!(
-                real_order.len() <= cache.per_shard_capacity(),
-                "shard {} holds {} entries over its budget of {}",
-                s, real_order.len(), cache.per_shard_capacity()
-            );
+    for (s, shadow_shard) in shadow.iter().enumerate() {
+        let real_order = cache.shard_keys_by_recency(s);
+        prop_assert!(
+            real_order.len() <= cache.per_shard_capacity(),
+            "shard {} holds {} entries over its budget of {}",
+            s,
+            real_order.len(),
+            cache.per_shard_capacity()
+        );
+        prop_assert_eq!(
+            &real_order,
+            &shadow_shard.order,
+            "shard {} of ({}, {}) diverged from the exact-LRU shadow",
+            s,
+            capacity,
+            shards
+        );
+        for k in &real_order {
             prop_assert_eq!(
-                &real_order, &shadow_shard.order,
-                "shard {} diverged from the exact-LRU shadow", s
+                cache.peek(k).map(f64::to_bits),
+                shadow_shard.values.get(k).copied().map(f64::to_bits)
             );
-            for k in &real_order {
-                prop_assert_eq!(
-                    cache.peek(k).map(f64::to_bits),
-                    shadow_shard.values.get(k).copied().map(f64::to_bits)
-                );
-            }
+        }
+    }
+    prop_assert_eq!(
+        cache.evictions(),
+        shadow.iter().map(|s| s.evictions).sum::<u64>(),
+        "eviction count of ({}, {})",
+        capacity,
+        shards
+    );
+    Ok(())
+}
+
+proptest! {
+    /// At every cache shape, any op sequence leaves the real cache in the
+    /// exact-LRU shadow's state.
+    #[test]
+    fn eviction_respects_the_lru_watermark(ops in proptest::collection::vec(op_strategy(), 1..400)) {
+        for (capacity, shards) in SHAPES {
+            replay_against_shadow(&ops, capacity, shards)?;
         }
     }
 

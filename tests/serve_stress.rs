@@ -7,10 +7,18 @@
 //! version's metadata. Staleness is bounded against a watermark the
 //! publisher bumps only **after** `Gateway::publish` returns: a read that
 //! starts after the watermark reads `w` must be answered by version ≥ `w`.
+//!
+//! A model that panics during inference is a fault, not a crash: every
+//! serving path answers with the `ModelPanic` fallback, the breaker opens,
+//! and a later healthy publish serves again — at any worker count, without
+//! hanging.
 
-use autonomous_data_services::serve::{FnModel, Gateway, GatewayConfig, Source};
+use autonomous_data_services::serve::{
+    BreakerState, FallbackCause, FnModel, Gateway, GatewayConfig, Request, ServableModel, Source,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 const READERS: usize = 8;
 const VERSIONS: u64 = 64;
@@ -114,4 +122,111 @@ fn hot_swap_preserves_version_lineage() {
         .expect("registered")
         .expect("earlier versions exist");
     assert!(rolled > 10, "rollback must move the version forward");
+}
+
+/// Panics on every inference call.
+struct PanickingModel;
+
+impl ServableModel for PanickingModel {
+    fn predict(&self, _features: &[f64]) -> f64 {
+        panic!("model inference panicked");
+    }
+}
+
+/// Runs `body` on its own thread and fails the test if it has not returned
+/// within ten seconds — a hang is the defect under test, so it must fail
+/// rather than stall the suite.
+fn within_timeout(name: &str, body: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        body();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(()) => handle.join().expect("body returned"),
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            // The body panicked: surface its assertion message.
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        // A hung body cannot be joined; its thread ends with the process.
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("{name}: hung for 10 s"),
+    }
+}
+
+fn panicking_model_is_contained(workers: usize) {
+    let mut config = GatewayConfig::concurrent(workers);
+    config.breaker.failure_threshold = 3;
+    let gateway = Gateway::new(config);
+    let handle = gateway.register("stress/panicky", |f: &[f64]| f[0] * 2.0);
+    gateway
+        .publish(handle, Arc::new(PanickingModel), 0.0)
+        .expect("registered");
+
+    // One batched row per call until the breaker has seen its threshold.
+    for t in 0..3 {
+        let request = Request::new(handle, vec![t as f64 + 1.0], t as f64);
+        let out = gateway.predict_many(&[request]).expect("registered");
+        assert_eq!(out[0].source, Source::Fallback(FallbackCause::ModelPanic));
+        assert_eq!(out[0].value, (t as f64 + 1.0) * 2.0, "served the heuristic");
+    }
+    assert_eq!(
+        gateway.breaker_state(handle).expect("registered"),
+        BreakerState::Open,
+        "three panics reach the failure threshold"
+    );
+    let blocked = gateway
+        .predict_many(&[Request::new(handle, vec![9.0], 4.0)])
+        .expect("registered");
+    assert_eq!(
+        blocked[0].source,
+        Source::Fallback(FallbackCause::BreakerOpen)
+    );
+
+    // A batch of several rows that all panic settles every row.
+    gateway
+        .publish(handle, Arc::new(PanickingModel), 0.0)
+        .expect("registered");
+    let batch: Vec<Request> = (0..5)
+        .map(|i| Request::new(handle, vec![100.0 + i as f64], 5.0))
+        .collect();
+    let out = gateway.predict_many(&batch).expect("registered");
+    assert!(out
+        .iter()
+        .all(|p| p.source == Source::Fallback(FallbackCause::ModelPanic)));
+
+    // The single-request path contains the panic the same way.
+    gateway
+        .publish(handle, Arc::new(PanickingModel), 0.0)
+        .expect("registered");
+    let single = gateway.predict(handle, &[7.0], 6.0).expect("registered");
+    assert_eq!(single.source, Source::Fallback(FallbackCause::ModelPanic));
+
+    // A healthy publish resets the breaker and serves the model again.
+    gateway
+        .publish(handle, Arc::new(FnModel(|f: &[f64]| f[0] + 0.5)), 0.0)
+        .expect("registered");
+    let healthy = gateway
+        .predict_many(&[Request::new(handle, vec![1.0], 7.0)])
+        .expect("registered");
+    assert_eq!(healthy[0].source, Source::Model);
+    assert_eq!(healthy[0].value, 1.5);
+    assert_eq!(
+        gateway
+            .predict(handle, &[2.0], 8.0)
+            .expect("registered")
+            .source,
+        Source::Model
+    );
+}
+
+#[test]
+fn panicking_model_is_contained_inline() {
+    within_timeout("inline", || panicking_model_is_contained(0));
+}
+
+#[test]
+fn panicking_model_is_contained_on_worker_threads() {
+    within_timeout("2 workers", || panicking_model_is_contained(2));
 }
